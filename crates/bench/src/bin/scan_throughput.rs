@@ -44,8 +44,8 @@ use starj_bench::harness::{env_u64, timed, Json};
 use starj_bench::{query_pool, root_seed, ssb_sf, TablePrinter};
 use starj_engine::exec::reference;
 use starj_engine::{
-    execute, execute_batch, execute_batch_with, execute_weighted_batch, fact_scan_count, Agg,
-    QueryResult, ScanOptions, StarQuery, StarSchema, WeightedPredicate, WeightedQuery,
+    execute, execute_batch, execute_batch_with, execute_weighted_batch, Agg, QueryResult,
+    ScanOptions, StarQuery, StarSchema, WeightedPredicate, WeightedQuery,
 };
 use starj_ssb::{generate, SsbConfig, BLOCKS};
 
@@ -72,6 +72,7 @@ fn median(mut walls: Vec<f64>) -> f64 {
 }
 
 fn run_regime(
+    schema: &StarSchema,
     name: &'static str,
     oracle: &[QueryResult],
     f: impl Fn() -> Vec<QueryResult>,
@@ -79,14 +80,14 @@ fn run_regime(
     // Warm-up run, then RUNS timed runs; ALL are equivalence-checked (a
     // thread-count-dependent bug could diverge on any of them).
     let mut ok = f() == oracle;
-    let scans_before = fact_scan_count();
+    let scans_before = schema.fact_scans();
     let mut walls = Vec::with_capacity(RUNS);
     for _ in 0..RUNS {
         let (got, wall) = timed(&f);
         ok &= got == oracle;
         walls.push(wall);
     }
-    let scans = (fact_scan_count() - scans_before) / RUNS as u64;
+    let scans = (schema.fact_scans() - scans_before) / RUNS as u64;
     Regime { name, wall_secs: median(walls), scans, ok }
 }
 
@@ -133,18 +134,18 @@ fn main() {
         queries.iter().map(|q| reference::execute(&schema, q).expect("reference")).collect();
 
     let mut regimes = vec![
-        run_regime("row-at-a-time", &oracle, || {
+        run_regime(&schema, "row-at-a-time", &oracle, || {
             queries.iter().map(|q| reference::execute(&schema, q).unwrap()).collect()
         }),
-        run_regime("bitset", &oracle, || {
+        run_regime(&schema, "bitset", &oracle, || {
             queries.iter().map(|q| execute(&schema, q).unwrap()).collect()
         }),
-        run_regime("fused-batch", &oracle, || execute_batch(&schema, &queries).unwrap()),
-        run_regime("fused-legacy-gather", &oracle, || {
+        run_regime(&schema, "fused-batch", &oracle, || execute_batch(&schema, &queries).unwrap()),
+        run_regime(&schema, "fused-legacy-gather", &oracle, || {
             execute_batch_with(&schema, &queries, ScanOptions::default().with_legacy_gather())
                 .unwrap()
         }),
-        run_regime("fused-parallel", &oracle, || {
+        run_regime(&schema, "fused-parallel", &oracle, || {
             execute_batch_with(&schema, &queries, ScanOptions::parallel(threads)).unwrap()
         }),
     ];
@@ -164,9 +165,9 @@ fn main() {
     let mut wd_fused_walls = Vec::with_capacity(RUNS);
     let mut wd_ref_walls = Vec::with_capacity(RUNS);
     for _ in 0..RUNS {
-        let scans_before = fact_scan_count();
+        let scans_before = schema.fact_scans();
         let (wfused, wall) = timed(|| execute_weighted_batch(&schema, &witems).unwrap());
-        wd_fused_scans = fact_scan_count() - scans_before;
+        wd_fused_scans = schema.fact_scans() - scans_before;
         weighted_ok &= wfused == woracle;
         wd_fused_walls.push(wall);
         let (_, ref_wall) = timed(|| {

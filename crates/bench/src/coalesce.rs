@@ -174,7 +174,7 @@ fn measure_with_config(
     }
     let pool = Arc::new(query_pool());
 
-    let scans_before = starj_engine::fact_scan_count();
+    let scans_before = schema.fact_scans();
     let start = Instant::now();
     let handles: Vec<_> = (0..clients)
         .map(|c| {
@@ -195,7 +195,7 @@ fn measure_with_config(
         h.join().expect("benchmark client thread panicked");
     }
     let wall_secs = start.elapsed().as_secs_f64();
-    let fact_scans = starj_engine::fact_scan_count() - scans_before;
+    let fact_scans = schema.fact_scans() - scans_before;
 
     let metrics = service.metrics();
     CoalesceSample {
@@ -272,13 +272,13 @@ pub fn measure_wd_wcache(
     service.wd_answer("dashboard", &workload, epsilon).expect("cold workload request");
     let cold_secs = start.elapsed().as_secs_f64();
 
-    let scans_before = starj_engine::fact_scan_count();
+    let scans_before = schema.fact_scans();
     let start = Instant::now();
     for _ in 0..repeats {
         service.wd_answer("dashboard", &workload, epsilon).expect("warm workload request");
     }
     let warm_secs = start.elapsed().as_secs_f64();
-    let warm_fact_scans = starj_engine::fact_scan_count() - scans_before;
+    let warm_fact_scans = schema.fact_scans() - scans_before;
 
     WCacheSample {
         repeats: repeats as u64,

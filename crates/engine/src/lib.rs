@@ -80,8 +80,8 @@ pub use exec::{
     execute_weighted_batch_with, execute_with,
 };
 pub use plan::{
-    fact_scan_count, CostModelExplain, DimExplain, FilterExplain, PlanExplain, QueryExplain,
-    ScanOptions, ScanPlan, WeightHistogram, WeightedQuery, DENSE_GROUP_CAP,
+    CostModelExplain, DimExplain, FilterExplain, PlanExplain, QueryExplain, ScanOptions, ScanPlan,
+    WeightHistogram, WeightedQuery, DENSE_GROUP_CAP,
 };
 pub use predicate::{Constraint, Predicate, WeightedPredicate};
 pub use query::{Agg, GroupAttr, QueryResult, StarQuery};

@@ -74,7 +74,6 @@ use crate::stage::{
 };
 use starj_telemetry::{cost_counters, kernel_counters, CostCounters, Json, KernelCounters};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Default largest dimension row count answered through the
@@ -91,18 +90,6 @@ const BYTE_PROBE_CAP: usize = 1 << 16;
 /// space) answered through flat vectors; larger spaces fall back to sparse
 /// maps / per-row loops.
 pub const DENSE_GROUP_CAP: usize = 1 << 16;
-
-/// Counts completed fact-table scans process-wide (one per
-/// [`ScanPlan::execute`] call, regardless of how many queries it fused or
-/// how many threads sharded it). Benchmarks and the service use deltas of
-/// this counter to *prove* fusion — e.g. that an `l`-query workload really
-/// cost one scan.
-static FACT_SCANS: AtomicU64 = AtomicU64::new(0);
-
-/// Total fact-table scans completed by this process so far.
-pub fn fact_scan_count() -> u64 {
-    FACT_SCANS.load(Ordering::Relaxed)
-}
 
 /// Execution options for a compiled scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -896,7 +883,7 @@ impl<'a> ScanPlan<'a> {
                 state.merge(partial);
             }
         }
-        FACT_SCANS.fetch_add(1, Ordering::Relaxed);
+        self.schema.count_scan();
         self.flush_kernel_counters(&bounds, hist_plan.as_ref(), program, legacy);
         self.finalize(state, hist_plan.as_ref())
     }
@@ -1597,7 +1584,7 @@ impl WeightHistogram {
     }
 
     /// Builds the histogram in **one** scan of the fact table (counted in
-    /// [`fact_scan_count`]): `hist[flat(row)] += agg(row)` over every fact
+    /// [`StarSchema::fact_scans`]): `hist[flat(row)] += agg(row)` over every fact
     /// row, sharded across `options.threads` with the same shard bounds and
     /// shard-order merge as [`ScanPlan::execute`]. Errors if the joint code
     /// space exceeds [`DENSE_GROUP_CAP`] or the axis list is empty.
@@ -1672,7 +1659,7 @@ impl WeightHistogram {
             }
             merged
         };
-        FACT_SCANS.fetch_add(1, Ordering::Relaxed);
+        schema.count_scan();
         let k = kernel_counters();
         let chunks: u64 =
             bounds.iter().map(|&(lo, hi)| (hi - lo).div_ceil(CHUNK_ROWS) as u64).sum();
@@ -1976,9 +1963,9 @@ mod tests {
         plan.add_weighted(&[WeightedPredicate::new("A", "attr", vec![0.5, 0.0, 0.0])], &Agg::Count)
             .unwrap();
         assert_eq!(plan.num_queries(), 3);
-        let before = fact_scan_count();
+        let before = s.fact_scans();
         let results = plan.execute(ScanOptions::default());
-        assert_eq!(fact_scan_count() - before, 1, "three queries, one scan");
+        assert_eq!(s.fact_scans() - before, 1, "three queries, one scan");
         assert_eq!(results[0].scalar().unwrap(), 2.0);
         assert_eq!(results[1].scalar().unwrap(), 12.0);
         assert!((results[2].scalar().unwrap() - 1.0).abs() < 1e-12);
@@ -1997,9 +1984,8 @@ mod tests {
                 .with(Predicate::point("B", "attr", 0)),
         )
         .unwrap();
-        let before = fact_scan_count();
         let ex = plan.describe();
-        assert_eq!(fact_scan_count(), before, "describe never touches the fact table");
+        assert_eq!(s.fact_scans(), 0, "describe never touches the fact table");
         assert_eq!(ex.fact_rows, 6);
         assert_eq!(ex.dims.len(), 2);
         assert_eq!(ex.dims[0].table, "A");
@@ -2522,14 +2508,13 @@ mod tests {
     fn weight_histogram_counts_one_fact_scan() {
         let s = schema();
         let axes = vec![("A".to_string(), "attr".to_string())];
-        let before = fact_scan_count();
         let hist = WeightHistogram::build(&s, &axes, &Agg::Count, ScanOptions::default()).unwrap();
-        assert_eq!(fact_scan_count() - before, 1, "building W costs exactly one scan");
-        let before = fact_scan_count();
+        assert_eq!(s.fact_scans(), 1, "building W costs exactly one scan");
+        assert_eq!(s.clone().fact_scans(), 0, "a cloned instance counts its own scans");
         for _ in 0..4 {
             hist.answer(&[WeightedPredicate::new("A", "attr", vec![1.0, 0.5, 0.25])], &Agg::Count)
                 .unwrap();
         }
-        assert_eq!(fact_scan_count() - before, 0, "answering from W is scan-free");
+        assert_eq!(s.fact_scans(), 1, "answering from W is scan-free");
     }
 }

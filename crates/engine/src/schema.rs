@@ -2,6 +2,7 @@
 
 use crate::error::EngineError;
 use crate::table::Table;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A sub-dimension (snowflake normalization, one level deep): the parent
 /// dimension holds a key column referencing this table's dense primary key.
@@ -48,6 +49,18 @@ impl Dimension {
 pub struct StarSchema {
     fact: Table,
     dims: Vec<Dimension>,
+    scans: ScanCount,
+}
+
+/// Fact scans completed over one schema instance. A clone is a new
+/// instance, so it starts from zero.
+#[derive(Debug, Default)]
+struct ScanCount(AtomicU64);
+
+impl Clone for ScanCount {
+    fn clone(&self) -> Self {
+        ScanCount::default()
+    }
 }
 
 impl StarSchema {
@@ -105,7 +118,21 @@ impl StarSchema {
                 }
             }
         }
-        Ok(StarSchema { fact, dims })
+        Ok(StarSchema { fact, dims, scans: ScanCount::default() })
+    }
+
+    /// Fact scans completed over this instance so far: one per
+    /// [`crate::ScanPlan::execute`] or [`crate::WeightHistogram::build`],
+    /// however many queries it fused or threads sharded it, and unaffected
+    /// by scans over other instances. Benchmarks and tests use deltas of it
+    /// to *prove* fusion — e.g. that an `l`-query workload cost one scan.
+    pub fn fact_scans(&self) -> u64 {
+        self.scans.0.load(Ordering::Relaxed)
+    }
+
+    /// Counts one completed fact scan over this instance.
+    pub(crate) fn count_scan(&self) {
+        self.scans.0.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The fact table.

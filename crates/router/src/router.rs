@@ -955,7 +955,7 @@ impl Router {
         };
         let mut out = String::new();
         for (name, service) in &services {
-            out.push_str(&service.telemetry().audit().to_jsonl_tagged(&[("dataset", name)]));
+            service.telemetry().audit().write_jsonl(&mut out, None, &[("dataset", name)]);
         }
         out
     }
@@ -970,7 +970,7 @@ impl Router {
         };
         let mut out = String::new();
         for (name, service) in &services {
-            out.push_str(&service.telemetry().audit().to_jsonl_for(tenant, &[("dataset", name)]));
+            service.telemetry().audit().write_jsonl(&mut out, Some(tenant), &[("dataset", name)]);
         }
         out
     }

@@ -28,11 +28,15 @@
 //! * **canonical request** — queries are normalized through
 //!   [`starj_engine::canon`], so predicate order, `[v, v]` vs. point, and
 //!   label differences all hit the same entry.
+//!
+//! Each key is stored once, shared by the map and the FIFO eviction order,
+//! and each answer sits behind one pointer, so the table itself holds two
+//! words per entry.
 
 use starj_engine::{CanonicalQuery, QueryResult, StarQuery};
-use starj_noise::PrivacyBudget;
+use starj_graph::KStarQuery;
 use std::collections::{HashMap, VecDeque};
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 
 /// Which mechanism produced (or is being asked to produce) an answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,33 +62,43 @@ pub enum RequestKey {
     KStar(u32, u32, u32),
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// A key, allocated once per entry and shared by the map and the eviction
+/// order.
+#[derive(Debug, PartialEq, Eq, Hash)]
 struct CacheKey {
-    tenant: String,
+    tenant: Box<str>,
     mechanism: Mechanism,
     epsilon_bits: u64,
     version: u64,
     request: RequestKey,
 }
 
-/// A stored answer, replayable for free.
-#[derive(Debug, Clone)]
-pub struct CachedAnswer {
-    /// Scalar/group result (PM), or unused placeholder for other shapes.
-    pub result: QueryResult,
-    /// Workload answers (WD); empty otherwise.
-    pub workload_answers: Vec<f64>,
-    /// The noisy query PM executed, for auditability.
-    pub noisy_query: Option<StarQuery>,
-    /// Per-member results and noisy queries of a fused PM batch
-    /// ([`Mechanism::PmBatch`]); a `None` noisy query marks a member that
-    /// was answered exactly for free (unsatisfiable). Empty otherwise.
-    pub batch: Vec<(QueryResult, Option<StarQuery>)>,
-    /// The noisy `(k, lo, hi)` range a k-star answer counted; `None`
-    /// otherwise.
-    pub noisy_kstar: Option<(u32, u32, u32)>,
-    /// What the original (cache-missing) call paid.
-    pub original_cost: PrivacyBudget,
+/// A stored answer, replayable for free: one variant per mechanism,
+/// holding exactly what a replay hands back.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CachedAnswer {
+    /// [`Mechanism::Pm`]: the noisy result and the noisy query PM executed
+    /// (kept for auditability).
+    Pm {
+        /// The released result.
+        result: QueryResult,
+        /// The perturbed query that produced it.
+        noisy_query: StarQuery,
+    },
+    /// [`Mechanism::PmBatch`]: per-member results and noisy queries of a
+    /// fused batch; a `None` noisy query marks a member that was answered
+    /// exactly for free (unsatisfiable).
+    PmBatch(Vec<(QueryResult, Option<StarQuery>)>),
+    /// [`Mechanism::Wd`]: one answer per workload row.
+    Wd(Vec<f64>),
+    /// [`Mechanism::KStar`]: the noisy count and the noisy `(k, lo, hi)`
+    /// range it counted.
+    KStar {
+        /// The released count.
+        count: f64,
+        /// The perturbed range that produced it.
+        noisy_query: KStarQuery,
+    },
 }
 
 /// Default [`AnswerCache`] capacity (entries).
@@ -92,9 +106,10 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 65_536;
 
 #[derive(Debug, Default)]
 struct CacheInner {
-    map: HashMap<CacheKey, CachedAnswer>,
-    /// Insertion order for FIFO eviction once `capacity` is reached.
-    order: VecDeque<CacheKey>,
+    map: HashMap<Arc<CacheKey>, Box<CachedAnswer>>,
+    /// Insertion order for FIFO eviction once `capacity` is reached; shares
+    /// each key with `map`.
+    order: VecDeque<Arc<CacheKey>>,
 }
 
 /// Thread-safe, **bounded** map from canonical requests to their released
@@ -137,13 +152,14 @@ impl AnswerCache {
         request: &RequestKey,
     ) -> Option<CachedAnswer> {
         let key = CacheKey {
-            tenant: tenant.to_string(),
+            tenant: tenant.into(),
             mechanism,
             epsilon_bits: epsilon.to_bits(),
             version,
             request: request.clone(),
         };
-        self.inner.read().unwrap_or_else(|e| e.into_inner()).map.get(&key).cloned()
+        let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
+        inner.map.get(&key).map(|answer| (**answer).clone())
     }
 
     /// Stores an answer for replay, evicting the oldest entries past the
@@ -157,15 +173,15 @@ impl AnswerCache {
         request: RequestKey,
         answer: CachedAnswer,
     ) {
-        let key = CacheKey {
-            tenant: tenant.to_string(),
+        let key = Arc::new(CacheKey {
+            tenant: tenant.into(),
             mechanism,
             epsilon_bits: epsilon.to_bits(),
             version,
             request,
-        };
+        });
         let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        if inner.map.insert(key.clone(), answer).is_none() {
+        if inner.map.insert(Arc::clone(&key), Box::new(answer)).is_none() {
             inner.order.push_back(key);
         }
         while inner.map.len() > self.capacity {
@@ -203,14 +219,7 @@ mod tests {
     }
 
     fn answer(v: f64) -> CachedAnswer {
-        CachedAnswer {
-            result: QueryResult::Scalar(v),
-            workload_answers: Vec::new(),
-            noisy_query: None,
-            batch: Vec::new(),
-            noisy_kstar: None,
-            original_cost: PrivacyBudget::pure(0.5).unwrap(),
-        }
+        CachedAnswer::Pm { result: QueryResult::Scalar(v), noisy_query: StarQuery::count("noisy") }
     }
 
     #[test]
@@ -237,7 +246,7 @@ mod tests {
             .with(Predicate::point("B", "y", 2));
         cache.insert("t", Mechanism::Pm, 1.0, 0, canon(&a), answer(7.0));
         let hit = cache.get("t", Mechanism::Pm, 1.0, 0, &canon(&b)).expect("canonical hit");
-        assert_eq!(hit.result, QueryResult::Scalar(7.0));
+        assert_eq!(hit, answer(7.0));
         assert_eq!(cache.len(), 1);
     }
 

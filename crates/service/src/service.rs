@@ -788,12 +788,12 @@ impl Service {
         let hit = trace.stage(Stage::CacheProbe, || {
             core.cache_get(tenant, Mechanism::PmBatch, epsilon, version, &key)
         });
-        if let Some(hit) = hit {
+        if let Some(CachedAnswer::PmBatch(batch)) = hit {
             core.served(start);
             core.telemetry.trace_finish(trace, TraceOutcome::Cached);
             let answers = queries
                 .iter()
-                .zip(hit.batch)
+                .zip(batch)
                 .map(|(q, (result, noisy_query))| ServiceAnswer {
                     name: q.name.clone(),
                     result,
@@ -886,14 +886,7 @@ impl Service {
                 epsilon,
                 version,
                 key,
-                CachedAnswer {
-                    result: QueryResult::Scalar(0.0),
-                    workload_answers: Vec::new(),
-                    noisy_query: None,
-                    batch: batch.clone(),
-                    noisy_kstar: None,
-                    original_cost: cost,
-                },
+                CachedAnswer::PmBatch(batch.clone()),
             );
         }
         core.served(start);
@@ -948,16 +941,10 @@ impl Service {
         let hit = trace.stage(Stage::CacheProbe, || {
             core.cache_get(tenant, Mechanism::KStar, epsilon, version, &key)
         });
-        if let Some(hit) = hit {
+        if let Some(CachedAnswer::KStar { count, noisy_query }) = hit {
             core.served(start);
             core.telemetry.trace_finish(trace, TraceOutcome::Cached);
-            let (k, lo, hi) = hit.noisy_kstar.unwrap_or((query.k, query.lo, query.hi));
-            return Ok(KStarAnswer {
-                count: hit.result.scalar().map_err(ServiceError::InvalidQuery)?,
-                noisy_query: KStarQuery { k, lo, hi },
-                cached: true,
-                cost: None,
-            });
+            return Ok(KStarAnswer { count, noisy_query, cached: true, cost: None });
         }
 
         let reservation = trace.stage(Stage::BudgetReserve, || {
@@ -982,14 +969,7 @@ impl Service {
                 epsilon,
                 version,
                 key,
-                CachedAnswer {
-                    result: QueryResult::Scalar(count),
-                    workload_answers: Vec::new(),
-                    noisy_query: None,
-                    batch: Vec::new(),
-                    noisy_kstar: Some((noisy_query.k, noisy_query.lo, noisy_query.hi)),
-                    original_cost: cost,
-                },
+                CachedAnswer::KStar { count, noisy_query },
             );
         }
         core.served(start);
@@ -1053,13 +1033,13 @@ impl ServiceCore {
         let hit = trace.stage(Stage::CacheProbe, || {
             self.cache_get(tenant, Mechanism::Pm, epsilon, version, &key)
         });
-        if let Some(hit) = hit {
+        if let Some(CachedAnswer::Pm { result, noisy_query }) = hit {
             self.served(start);
             self.telemetry.trace_finish(trace, TraceOutcome::Cached);
             return Ok(PmPhase::Immediate(ServiceAnswer {
                 name: query.name.clone(),
-                result: hit.result,
-                noisy_query: hit.noisy_query,
+                result,
+                noisy_query: Some(noisy_query),
                 cached: true,
                 cost: None,
             }));
@@ -1143,14 +1123,7 @@ impl ServiceCore {
                     epsilon,
                     version,
                     key,
-                    CachedAnswer {
-                        result: result.clone(),
-                        workload_answers: Vec::new(),
-                        noisy_query: Some(noisy.clone()),
-                        batch: Vec::new(),
-                        noisy_kstar: None,
-                        original_cost: cost,
-                    },
+                    CachedAnswer::Pm { result: result.clone(), noisy_query: noisy.clone() },
                 );
             }
             Ok::<_, ServiceError>(())
@@ -1216,14 +1189,10 @@ impl ServiceCore {
         let hit = trace.stage(Stage::CacheProbe, || {
             self.cache_get(tenant, Mechanism::Wd, epsilon, version, &key)
         });
-        if let Some(hit) = hit {
+        if let Some(CachedAnswer::Wd(answers)) = hit {
             self.served(start);
             self.telemetry.trace_finish(trace, TraceOutcome::Cached);
-            return Ok(WdPhase::Immediate(WorkloadAnswer {
-                answers: hit.workload_answers,
-                cached: true,
-                cost: None,
-            }));
+            return Ok(WdPhase::Immediate(WorkloadAnswer { answers, cached: true, cost: None }));
         }
 
         let (axes, space) = WeightHistogram::plan_axes(&schema, &workload_axes(workload))?;
@@ -1337,14 +1306,7 @@ impl ServiceCore {
                     epsilon,
                     version,
                     key,
-                    CachedAnswer {
-                        result: QueryResult::Scalar(0.0),
-                        workload_answers: answers.clone(),
-                        noisy_query: None,
-                        batch: Vec::new(),
-                        noisy_kstar: None,
-                        original_cost: cost,
-                    },
+                    CachedAnswer::Wd(answers.clone()),
                 );
             }
             Ok::<_, ServiceError>(())
@@ -1505,13 +1467,14 @@ mod tests {
 
     #[test]
     fn batch_charges_once_and_fuses_the_scan() {
-        let service = Service::new(toy_schema(), ServiceConfig::default());
+        let schema = toy_schema();
+        let service = Service::new(Arc::clone(&schema), ServiceConfig::default());
         service.register_tenant("t", starj_noise::PrivacyBudget::pure(10.0).unwrap()).unwrap();
         let queries = batch_queries();
 
-        let scans_before = starj_engine::fact_scan_count();
+        let scans_before = schema.fact_scans();
         let answer = service.pm_batch_answer("t", &queries, 1.0).unwrap();
-        assert_eq!(starj_engine::fact_scan_count() - scans_before, 1, "4 queries, 1 scan");
+        assert_eq!(schema.fact_scans() - scans_before, 1, "4 queries, 1 scan");
         assert_eq!(answer.answers.len(), 4);
         assert!(!answer.cached);
         let cost = answer.cost.expect("fresh batch pays");

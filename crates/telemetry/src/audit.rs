@@ -287,43 +287,42 @@ impl AuditTrail {
         self.state.lock().unwrap_or_else(|e| e.into_inner()).dropped
     }
 
-    /// Every retained event as JSONL (one JSON object per line), oldest
-    /// first. `extra` key/value pairs (e.g. `("dataset", name)` from a
-    /// router roll-up) are appended to every line.
-    pub fn to_jsonl_tagged(&self, extra: &[(&str, &str)]) -> String {
-        render_jsonl(&self.events(), extra)
-    }
-
     /// One tenant's retained events as JSONL, oldest first, with `extra`
     /// pairs appended to every line — the `/audit?tenant=` filter of the
     /// operator plane.
     pub fn to_jsonl_for(&self, tenant: &str, extra: &[(&str, &str)]) -> String {
-        render_jsonl(&self.events_for(tenant), extra)
+        let mut out = String::new();
+        self.write_jsonl(&mut out, Some(tenant), extra);
+        out
+    }
+
+    /// Appends the retained events (only `tenant`'s, when given) to `out`
+    /// as JSONL (one JSON object per line), oldest first. `extra` key/value
+    /// pairs (e.g. `("dataset", name)` from a router roll-up) are appended
+    /// to every line, escaped like any other string — hostile names cannot
+    /// break a line. A roll-up over several trails writes them into one
+    /// buffer.
+    pub fn write_jsonl(&self, out: &mut String, tenant: Option<&str>, extra: &[(&str, &str)]) {
+        let events = match tenant {
+            Some(tenant) => self.events_for(tenant),
+            None => self.events(),
+        };
+        for event in events {
+            let mut line = event.to_json();
+            if let Json::Obj(pairs) = &mut line {
+                pairs.extend(extra.iter().map(|(k, v)| ((*k).to_string(), Json::Str((*v).into()))));
+            }
+            line.render_into(out);
+            out.push('\n');
+        }
     }
 
     /// Every retained event as JSONL, oldest first.
     pub fn to_jsonl(&self) -> String {
-        self.to_jsonl_tagged(&[])
+        let mut out = String::new();
+        self.write_jsonl(&mut out, None, &[]);
+        out
     }
-}
-
-/// Renders events as JSONL with `extra` key/value pairs appended to every
-/// line (escaped like any other string — hostile names cannot break a
-/// line).
-fn render_jsonl(events: &[AuditEvent], extra: &[(&str, &str)]) -> String {
-    let mut out = String::new();
-    for event in events {
-        let mut obj = match event.to_json() {
-            Json::Obj(pairs) => pairs,
-            _ => unreachable!("AuditEvent::to_json returns an object"),
-        };
-        for (k, v) in extra {
-            obj.push(((*k).to_string(), Json::Str((*v).to_string())));
-        }
-        out.push_str(&Json::Obj(obj).render());
-        out.push('\n');
-    }
-    out
 }
 
 #[cfg(test)]
@@ -408,7 +407,8 @@ mod tests {
     fn jsonl_lines_parse_and_carry_tags() {
         let trail = AuditTrail::new(4);
         trail.record(&tenant("t"), AuditKind::Commit, 0xdead_beef, 0.5, 1e-9, 2);
-        let jsonl = trail.to_jsonl_tagged(&[("dataset", "ssb")]);
+        let mut jsonl = String::new();
+        trail.write_jsonl(&mut jsonl, None, &[("dataset", "ssb")]);
         let line = jsonl.lines().next().expect("one line");
         let parsed = Json::parse(line).expect("line parses");
         assert_eq!(parsed.get("kind").and_then(Json::as_str), Some("commit"));

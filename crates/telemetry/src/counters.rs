@@ -1,16 +1,15 @@
 //! Process-wide kernel profiling counters for the scan engine.
 //!
-//! The scan planner already proves *fusion* with the `FACT_SCANS` counter;
+//! The scan planner already proves *fusion* with its per-schema scan count;
 //! these counters make the rest of the kernel's behavior observable: how
 //! many 4096-row chunks a workload actually scanned, whether the staging
 //! buffers and probe fast paths PR 4 built are firing, and how much work
 //! the cross-query shared-mask program is saving.
 //!
-//! Everything is a relaxed [`AtomicU64`] on a process-wide static
-//! (mirroring the engine's `fact_scan_count` idiom), and the engine
-//! flushes **per scan, not per row**: probe classifications are tallied at
-//! plan time, and the chunk/gather tallies are computed once from the plan
-//! geometry and added with a handful of atomic adds per `execute` call —
+//! Everything is a relaxed [`AtomicU64`] on a process-wide static, and the
+//! engine flushes **per scan, not per row**: probe classifications are
+//! tallied at plan time, and the chunk/gather tallies are computed once from
+//! the plan geometry and added with a handful of atomic adds per `execute` call —
 //! zero cost inside the chunk loop, so the kernel's measured throughput is
 //! untouched.
 

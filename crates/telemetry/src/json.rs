@@ -8,6 +8,8 @@
 //! type of the workspace: the bench harness re-exports it, the service and
 //! router serialize their snapshots with it.
 
+use std::fmt::Write as _;
+
 /// A JSON value.
 #[derive(Debug, Clone)]
 pub enum Json {
@@ -23,24 +25,33 @@ pub enum Json {
     Null,
 }
 
-/// Escapes and quotes one string per the JSON spec — shared by string
+/// Appends `s` escaped and quoted per the JSON spec — shared by string
 /// values and object keys (both can carry hostile tenant/dataset names).
-fn render_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Every byte that needs an escape is ASCII, so runs between escapes are
+/// copied whole.
+fn write_string(out: &mut String, s: &str) {
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'\\' => out.push_str("\\\\"),
+            b'"' => out.push_str("\\\""),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
-    out
 }
 
 impl Json {
@@ -51,31 +62,49 @@ impl Json {
 
     /// Serializes to a JSON string.
     pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out);
+        out
+    }
+
+    /// Appends the serialization to `out`: the whole document is written
+    /// into the one buffer, with no intermediate string per node.
+    pub fn render_into(&self, out: &mut String) {
         match self {
             Json::Num(v) if v.is_finite() => {
-                if v.fract() == 0.0 && v.abs() < 9.0e15 {
-                    format!("{}", *v as i64)
+                let _ = if v.fract() == 0.0 && v.abs() < 9.0e15 {
+                    write!(out, "{}", *v as i64)
                 } else {
-                    format!("{v}")
-                }
+                    write!(out, "{v}")
+                };
             }
-            Json::Num(_) => "null".into(),
-            Json::Str(s) => render_string(s),
+            Json::Num(_) | Json::Null => out.push_str("null"),
+            Json::Str(s) => write_string(out, s),
             Json::Obj(pairs) => {
                 // Keys escape exactly like string values: a tenant or
                 // dataset name carrying `"`, `\`, or a newline must not be
                 // able to break a JSONL line.
-                let body: Vec<String> = pairs
-                    .iter()
-                    .map(|(k, v)| format!("{}: {}", render_string(k), v.render()))
-                    .collect();
-                format!("{{{}}}", body.join(", "))
+                out.push('{');
+                for (i, (k, v)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    write_string(out, k);
+                    out.push_str(": ");
+                    v.render_into(out);
+                }
+                out.push('}');
             }
             Json::Arr(items) => {
-                let body: Vec<String> = items.iter().map(Json::render).collect();
-                format!("[{}]", body.join(", "))
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    item.render_into(out);
+                }
+                out.push(']');
             }
-            Json::Null => "null".into(),
         }
     }
 
@@ -87,7 +116,9 @@ impl Json {
     /// Escapes `s` as a JSON string literal (including the quotes) — the
     /// one escape routine shared by string values and object keys.
     pub fn escape_str(s: &str) -> String {
-        render_string(s)
+        let mut out = String::new();
+        write_string(&mut out, s);
+        out
     }
 
     /// Parses a JSON document (the full grammar: objects, arrays, strings
@@ -269,11 +300,10 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through verbatim).
+                    // Consume the run up to the next quote or escape in one
+                    // copy (multi-byte sequences pass through verbatim).
                     let start = self.pos;
-                    self.pos += 1;
-                    while self.bytes.get(self.pos).is_some_and(|b| b & 0xc0 == 0x80) {
+                    while self.bytes.get(self.pos).is_some_and(|&b| b != b'"' && b != b'\\') {
                         self.pos += 1;
                     }
                     out.push_str(

@@ -9,7 +9,7 @@
 //! ```
 
 use dp_starj_repro::core::workload::{PredicateWorkload, WorkloadBlock};
-use dp_starj_repro::engine::{fact_scan_count, Constraint, Predicate, StarQuery};
+use dp_starj_repro::engine::{Constraint, Predicate, StarQuery};
 use dp_starj_repro::noise::PrivacyBudget;
 use dp_starj_repro::service::{Service, ServiceConfig};
 use dp_starj_repro::ssb::{generate, SsbConfig};
@@ -34,7 +34,7 @@ fn main() {
             .register_tenant(&format!("analyst-{a}"), PrivacyBudget::pure(50.0).unwrap())
             .unwrap();
     }
-    let scans_before = fact_scan_count();
+    let scans_before = schema.fact_scans();
     let handles: Vec<_> = (0..ANALYSTS)
         .map(|a| {
             let service = Arc::clone(&service);
@@ -52,7 +52,7 @@ fn main() {
     for h in handles {
         h.join().unwrap();
     }
-    let scans = fact_scan_count() - scans_before;
+    let scans = schema.fact_scans() - scans_before;
     let m = service.metrics();
     println!(
         "{} single-query requests from {ANALYSTS} analysts answered with {scans} fact scans",
@@ -86,7 +86,7 @@ fn main() {
             .collect(),
     )
     .unwrap();
-    let scans_before = fact_scan_count();
+    let scans_before = schema.fact_scans();
     for _ in 0..10 {
         service.wd_answer("analyst-0", &workload, 0.2).expect("dashboard refresh");
     }
@@ -94,7 +94,7 @@ fn main() {
     println!(
         "10 dashboard workloads ({} queries each) cost {} fact scans — {} W-cache hits",
         workload.len(),
-        fact_scan_count() - scans_before,
+        schema.fact_scans() - scans_before,
         m.w_cache_hits
     );
 
