@@ -31,7 +31,7 @@ const PARAM_KEYS: [&str; 6] =
 pub struct BenchDoc {
     /// The `bench` name field.
     pub bench: String,
-    /// Workload parameters present in the document, in [`PARAM_KEYS`] order.
+    /// Workload parameters present in the document, in `PARAM_KEYS` order.
     pub params: Vec<(String, f64)>,
     /// `(regime key, queries_per_sec)` measurement points.
     pub points: Vec<(String, f64)>,

@@ -1,4 +1,4 @@
-//! Offline, API-compatible subset of the [`criterion`] benchmark harness.
+//! Offline, API-compatible subset of the `criterion` benchmark harness.
 //!
 //! The build environment has no access to crates.io, so this workspace
 //! vendors the slice of criterion's surface its benches use:

@@ -228,7 +228,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use rand::Rng;
 
-    /// The length specification for [`vec`]: a fixed length or a half-open
+    /// The length specification for [`fn@vec`]: a fixed length or a half-open
     /// range of lengths.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
@@ -255,7 +255,7 @@ pub mod collection {
         VecStrategy { element, size: size.into() }
     }
 
-    /// See [`vec`].
+    /// See [`fn@vec`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

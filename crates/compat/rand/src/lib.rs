@@ -1,4 +1,4 @@
-//! Offline, API-compatible subset of the [`rand`] crate.
+//! Offline, API-compatible subset of the `rand` crate.
 //!
 //! The build environment has no access to crates.io, so this workspace
 //! vendors the tiny slice of `rand`'s surface that `starj-noise` consumes:

@@ -120,6 +120,35 @@ impl JournalRecord {
     ///
     /// [`encode_payload`]: JournalRecord::encode_payload
     pub fn decode_payload(payload: &[u8]) -> Option<JournalRecord> {
+        let v = RecordView::decode(payload)?;
+        Some(JournalRecord {
+            kind: v.kind,
+            tenant: v.tenant.to_string(),
+            query_hash: v.query_hash,
+            epsilon: v.epsilon,
+            delta: v.delta,
+            data_version: v.data_version,
+            request_id: v.request_id,
+        })
+    }
+}
+
+/// A decoded payload whose tenant borrows the journal bytes, so recovery
+/// replays a segment without allocating per record.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct RecordView<'a> {
+    pub(crate) kind: RecordKind,
+    pub(crate) tenant: &'a str,
+    pub(crate) query_hash: u64,
+    pub(crate) epsilon: f64,
+    pub(crate) delta: f64,
+    pub(crate) data_version: u64,
+    pub(crate) request_id: u64,
+}
+
+impl<'a> RecordView<'a> {
+    /// Decodes `payload`, or `None` on any structural violation.
+    pub(crate) fn decode(payload: &'a [u8]) -> Option<RecordView<'a>> {
         if payload.len() < PAYLOAD_HEADER {
             return None;
         }
@@ -138,8 +167,8 @@ impl JournalRecord {
         if payload.len() != PAYLOAD_HEADER + tenant_len {
             return None;
         }
-        let tenant = std::str::from_utf8(&payload[PAYLOAD_HEADER..]).ok()?.to_string();
-        Some(JournalRecord { kind, tenant, query_hash, epsilon, delta, data_version, request_id })
+        let tenant = std::str::from_utf8(&payload[PAYLOAD_HEADER..]).ok()?;
+        Some(RecordView { kind, tenant, query_hash, epsilon, delta, data_version, request_id })
     }
 }
 

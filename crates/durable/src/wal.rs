@@ -39,7 +39,7 @@
 
 use crate::crc::crc32;
 use crate::fault::{FaultKind, FaultPlan};
-use crate::record::{JournalRecord, RecordKind, MAX_PAYLOAD};
+use crate::record::{JournalRecord, RecordKind, RecordView, MAX_PAYLOAD};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -216,45 +216,65 @@ fn parse_segment_name(name: &str) -> Option<u64> {
     name.strip_prefix("wal-")?.strip_suffix(".seg")?.parse().ok()
 }
 
+impl Recovery {
+    /// Folds one intact record into the totals. Allocates only for a
+    /// tenant's first commit.
+    fn replay(&mut self, rec: &RecordView<'_>) {
+        self.records += 1;
+        if rec.kind != RecordKind::Commit {
+            return;
+        }
+        self.commits += 1;
+        if !self.tenants.contains_key(rec.tenant) {
+            self.tenants.insert(rec.tenant.to_string(), ReplayedLedger::default());
+        }
+        let t = self.tenants.get_mut(rec.tenant).expect("inserted above");
+        // Journal order == per-tenant charge order, so these f64
+        // additions reproduce the ledger bit-for-bit.
+        t.spent_epsilon += rec.epsilon;
+        t.spent_delta += rec.delta;
+        t.commits += 1;
+    }
+}
+
 /// Outcome of scanning one segment's bytes.
 struct SegmentScan {
     /// Byte length of the valid prefix (header + intact records).
     valid_len: u64,
     /// Offset of the first damaged byte, if any damage was found.
     damage_at: Option<u64>,
-    records: Vec<JournalRecord>,
 }
 
-fn scan_segment(bytes: &[u8]) -> SegmentScan {
+/// Scans one segment, folding each intact record into `recovery` as it is
+/// read, up to the first damaged byte.
+fn scan_segment(bytes: &[u8], recovery: &mut Recovery) -> SegmentScan {
+    let damaged = |off: usize| SegmentScan { valid_len: off as u64, damage_at: Some(off as u64) };
     if bytes.len() < SEGMENT_MAGIC.len() || &bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
         // Partial or missing header: a crash during rotation leaves this.
-        return SegmentScan { valid_len: 0, damage_at: Some(0), records: Vec::new() };
+        return damaged(0);
     }
     let mut off = SEGMENT_MAGIC.len();
-    let mut records = Vec::new();
     while off < bytes.len() {
         let rest = &bytes[off..];
         if rest.len() < 8 {
-            return SegmentScan { valid_len: off as u64, damage_at: Some(off as u64), records };
+            return damaged(off);
         }
         let len = u32::from_le_bytes(rest[0..4].try_into().unwrap()) as usize;
         let crc = u32::from_le_bytes(rest[4..8].try_into().unwrap());
         if len > MAX_PAYLOAD || rest.len() < 8 + len {
-            return SegmentScan { valid_len: off as u64, damage_at: Some(off as u64), records };
+            return damaged(off);
         }
         let payload = &rest[8..8 + len];
         if crc32(payload) != crc {
-            return SegmentScan { valid_len: off as u64, damage_at: Some(off as u64), records };
+            return damaged(off);
         }
-        match JournalRecord::decode_payload(payload) {
-            Some(rec) => records.push(rec),
-            None => {
-                return SegmentScan { valid_len: off as u64, damage_at: Some(off as u64), records }
-            }
+        match RecordView::decode(payload) {
+            Some(rec) => recovery.replay(&rec),
+            None => return damaged(off),
         }
         off += 8 + len;
     }
-    SegmentScan { valid_len: off as u64, damage_at: None, records }
+    SegmentScan { valid_len: off as u64, damage_at: None }
 }
 
 impl BudgetWal {
@@ -286,29 +306,18 @@ impl BudgetWal {
 
         let mut recovery = Recovery::default();
         let mut tail: Option<(u64, u64)> = None; // (seq, valid_len) of the final segment
+        let mut bytes = Vec::new(); // one read buffer, reused segment to segment
         for (i, &seq) in seqs.iter().enumerate() {
             let is_last = i + 1 == seqs.len();
             let path = segment_path(&config.dir, seq);
-            let mut bytes = Vec::new();
+            bytes.clear();
             File::open(&path).and_then(|mut f| f.read_to_end(&mut bytes)).map_err(io_err)?;
-            let scan = scan_segment(&bytes);
+            let scan = scan_segment(&bytes, &mut recovery);
             if let Some(offset) = scan.damage_at {
                 if !is_last {
                     return Err(WalError::Corrupt { segment: seq, offset });
                 }
                 recovery.torn_tail_truncated = true;
-            }
-            for rec in &scan.records {
-                recovery.records += 1;
-                if rec.kind == RecordKind::Commit {
-                    recovery.commits += 1;
-                    let t = recovery.tenants.entry(rec.tenant.clone()).or_default();
-                    // Journal order == per-tenant charge order, so these
-                    // f64 additions reproduce the ledger bit-for-bit.
-                    t.spent_epsilon += rec.epsilon;
-                    t.spent_delta += rec.delta;
-                    t.commits += 1;
-                }
             }
             if is_last {
                 tail = Some((seq, scan.valid_len));

@@ -38,7 +38,7 @@
 //!   in shard order so results are deterministic for a fixed thread count.
 //!
 //! * **SIMD-width chunk interior.** The hot interior is a staging-based
-//!   kernel ([`crate::stage`]): each referenced dimension's fk codes are
+//!   kernel (the private `stage` module): each referenced dimension's fk codes are
 //!   copied into a cache-resident buffer **once per chunk** and shared by
 //!   every fused query (the pre-staging kernel re-read them from main
 //!   memory once per query per chunk); per-dimension pass masks are

@@ -98,7 +98,7 @@ impl StarSchema {
             check_dense_pk(&dim.table, &dim.pk)?;
             let fk = fact.key(&dim.fk)?;
             let rows = dim.table.num_rows();
-            if let Some(&bad) = fk.iter().find(|&&v| v as usize >= rows) {
+            if let Some(bad) = first_out_of_range(fk, rows) {
                 return Err(EngineError::ForeignKeyOutOfRange {
                     column: dim.fk.clone(),
                     value: bad,
@@ -109,7 +109,7 @@ impl StarSchema {
                 check_dense_pk(&sub.table, &sub.pk)?;
                 let sub_fk = dim.table.key(&sub.fk_in_dim)?;
                 let sub_rows = sub.table.num_rows();
-                if let Some(&bad) = sub_fk.iter().find(|&&v| v as usize >= sub_rows) {
+                if let Some(bad) = first_out_of_range(sub_fk, sub_rows) {
                     return Err(EngineError::ForeignKeyOutOfRange {
                         column: sub.fk_in_dim.clone(),
                         value: bad,
@@ -205,6 +205,17 @@ impl StarSchema {
     }
 }
 
+/// The first key that does not index one of `rows` rows, if any.
+fn first_out_of_range(keys: &[u32], rows: usize) -> Option<u32> {
+    // A branch-free pass (it vectorizes) clears the common all-valid
+    // column; only a failing one is searched for its first offender.
+    let limit = u32::try_from(rows).unwrap_or(u32::MAX);
+    if !keys.iter().fold(false, |any, &k| any | (k >= limit)) {
+        return None;
+    }
+    keys.iter().copied().find(|&k| k as usize >= rows)
+}
+
 fn check_dense_pk(table: &Table, pk: &str) -> Result<(), EngineError> {
     let keys = table.key(pk)?;
     if keys.iter().enumerate().any(|(i, &k)| k as usize != i) {
@@ -258,9 +269,15 @@ mod tests {
 
     #[test]
     fn dangling_fk_rejected() {
-        let fact = fact_table(vec![("fk_a", vec![0, 9])]);
+        let fact = fact_table(vec![("fk_a", vec![0, 9, 2, 3])]);
         let err = StarSchema::new(fact, vec![Dimension::new(dim_table("A", 3), "pk", "fk_a")]);
-        assert!(matches!(err, Err(EngineError::ForeignKeyOutOfRange { .. })));
+        assert!(
+            matches!(
+                err,
+                Err(EngineError::ForeignKeyOutOfRange { value: 9, referenced_rows: 3, .. })
+            ),
+            "the first offender is reported"
+        );
     }
 
     #[test]

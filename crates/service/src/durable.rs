@@ -52,7 +52,8 @@ impl DurableConfig {
 /// connection" — the same fields the telemetry audit trail carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecordMeta {
-    /// Canonical-query hash ([`crate::query_hash`]); 0 = none.
+    /// Stable-within-a-run fingerprint of the request's mechanism and
+    /// canonical query, as on its audit events; 0 = none.
     pub query_hash: u64,
     /// Data version the request was admitted against.
     pub data_version: u64,

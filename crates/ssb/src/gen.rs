@@ -13,6 +13,16 @@
 //! Sub-unit scale factors (the paper sweeps 0.25–1) scale Part linearly —
 //! the log formula is only defined for SF ≥ 1. Small floors keep tiny test
 //! instances valid.
+//!
+//! ## Draw order
+//!
+//! Every Lineorder cell takes exactly one unit sample from the
+//! `"lineorder"` stream, drawn row-major and, within a row, in column order
+//! (`orderdate`, `custkey`, `suppkey`, `partkey`, `quantity`, `revenue`,
+//! `supplycost`). The generator draws whole blocks of rows at once with
+//! [`FactDistribution::fill_units`], which keeps that order, so a
+//! `(scale, seed, distribution, hot)` config always yields the same
+//! instance, bit for bit. The golden test in `tests/golden.rs` pins it.
 
 use crate::labels;
 use starj_engine::{Column, Dimension, Domain, EngineError, StarSchema, Table};
@@ -47,24 +57,31 @@ pub enum FactDistribution {
 }
 
 impl FactDistribution {
-    /// Draws a unit sample in `[0, 1)`.
-    pub fn unit_sample(&self, rng: &mut StarRng) -> f64 {
-        let x = match self {
-            FactDistribution::Uniform => rng.unit(),
+    /// Fills `out` with unit samples in `[0, 1)`, drawn in order from `rng`.
+    /// The sampler is built once per call, not once per draw.
+    ///
+    /// # Panics
+    ///
+    /// If the distribution's parameters are invalid (`generate` rejects
+    /// those before drawing).
+    pub fn fill_units(&self, rng: &mut StarRng, out: &mut [f64]) {
+        const INVALID: &str = "fact distribution validated before drawing";
+        match self {
+            FactDistribution::Uniform => fill_clamped(rng, out, StarRng::unit),
             FactDistribution::Exponential { rate } => {
-                let d = Exponential::new(*rate).expect("validated in generate()");
-                d.sample(rng) * rate / 4.0
+                let d = Exponential::new(*rate).expect(INVALID);
+                fill_clamped(rng, out, |rng| d.sample(rng) * rate / 4.0)
             }
             FactDistribution::Gamma { shape, scale } => {
-                let d = Gamma::new(*shape, *scale).expect("validated in generate()");
-                d.sample(rng) / (4.0 * shape * scale)
+                let d = Gamma::new(*shape, *scale).expect(INVALID);
+                let span = 4.0 * shape * scale;
+                fill_clamped(rng, out, |rng| d.sample(rng) / span)
             }
             FactDistribution::GaussianMixture(comps) => {
-                let d = GaussianMixture::new(comps).expect("validated in generate()");
-                d.sample(rng)
+                let d = GaussianMixture::new(comps).expect(INVALID);
+                fill_clamped(rng, out, |rng| d.sample(rng))
             }
-        };
-        x.clamp(0.0, 1.0 - 1e-9)
+        }
     }
 
     fn validate(&self) -> Result<(), EngineError> {
@@ -79,6 +96,12 @@ impl FactDistribution {
         } else {
             Err(EngineError::InvalidSchema(format!("invalid fact distribution: {self:?}")))
         }
+    }
+}
+
+fn fill_clamped(rng: &mut StarRng, out: &mut [f64], mut draw: impl FnMut(&mut StarRng) -> f64) {
+    for unit in out {
+        *unit = draw(rng).clamp(0.0, 1.0 - 1e-9);
     }
 }
 
@@ -284,6 +307,16 @@ fn build_part(rows: usize, rng: &mut StarRng) -> Result<Table, EngineError> {
     )
 }
 
+/// Lineorder rows drawn per block.
+const BLOCK_ROWS: usize = 1_024;
+/// Unit samples per Lineorder row: 4 foreign keys and 3 measures.
+const FACT_COLUMNS: usize = 7;
+
+/// Maps a unit sample onto the key space `0..n`.
+fn key_of(unit: f64, n: usize) -> u32 {
+    ((unit * n as f64) as u32).min(n as u32 - 1)
+}
+
 fn build_lineorder(
     config: &SsbConfig,
     customers: usize,
@@ -302,15 +335,20 @@ fn build_lineorder(
     let mut revenue = Vec::with_capacity(rows);
     let mut supplycost = Vec::with_capacity(rows);
 
-    let key_of = |unit: f64, n: usize| ((unit * n as f64) as u32).min(n as u32 - 1);
-    for _ in 0..rows {
-        orderdate.push(key_of(dist.unit_sample(rng), DATE_ROWS));
-        custkey.push(key_of(dist.unit_sample(rng), customers));
-        suppkey.push(key_of(dist.unit_sample(rng), suppliers));
-        partkey.push(key_of(dist.unit_sample(rng), parts));
-        quantity.push(1 + (dist.unit_sample(rng) * 49.0) as i64);
-        revenue.push(1 + (dist.unit_sample(rng) * 9_999.0) as i64);
-        supplycost.push(1 + (dist.unit_sample(rng) * 999.0) as i64);
+    // One block of row-major unit samples: row r's draws are
+    // `units[r * FACT_COLUMNS..][..FACT_COLUMNS]`, in column order.
+    let mut units = vec![0.0; BLOCK_ROWS * FACT_COLUMNS];
+    for start in (0..rows).step_by(BLOCK_ROWS) {
+        let block = &mut units[..(rows - start).min(BLOCK_ROWS) * FACT_COLUMNS];
+        dist.fill_units(rng, block);
+        let cell = |col: usize| block.chunks_exact(FACT_COLUMNS).map(move |row| row[col]);
+        orderdate.extend(cell(0).map(|u| key_of(u, DATE_ROWS)));
+        custkey.extend(cell(1).map(|u| key_of(u, customers)));
+        suppkey.extend(cell(2).map(|u| key_of(u, suppliers)));
+        partkey.extend(cell(3).map(|u| key_of(u, parts)));
+        quantity.extend(cell(4).map(|u| 1 + (u * 49.0) as i64));
+        revenue.extend(cell(5).map(|u| 1 + (u * 9_999.0) as i64));
+        supplycost.extend(cell(6).map(|u| 1 + (u * 999.0) as i64));
     }
 
     if let Some(hot) = &config.hot {
@@ -367,6 +405,90 @@ mod tests {
 
     fn tiny() -> SsbConfig {
         SsbConfig { scale: 0.002, seed: 7, ..SsbConfig::default() }
+    }
+
+    /// One clamped unit sample per call, with the sampler rebuilt each time:
+    /// the per-draw reference for `fill_units`.
+    fn unit_sample_oracle(dist: &FactDistribution, rng: &mut StarRng) -> f64 {
+        let x = match dist {
+            FactDistribution::Uniform => rng.unit(),
+            FactDistribution::Exponential { rate } => {
+                Exponential::new(*rate).unwrap().sample(rng) * rate / 4.0
+            }
+            FactDistribution::Gamma { shape, scale } => {
+                Gamma::new(*shape, *scale).unwrap().sample(rng) / (4.0 * shape * scale)
+            }
+            FactDistribution::GaussianMixture(comps) => {
+                GaussianMixture::new(comps).unwrap().sample(rng)
+            }
+        };
+        x.clamp(0.0, 1.0 - 1e-9)
+    }
+
+    /// Lineorder drawn one row at a time, one `unit_sample_oracle` call per
+    /// cell, without hot-spot planting: the reference for `build_lineorder`'s
+    /// draw order.
+    fn lineorder_oracle(
+        config: &SsbConfig,
+        customers: usize,
+        suppliers: usize,
+        parts: usize,
+        rng: &mut StarRng,
+    ) -> Table {
+        let dist = &config.distribution;
+        let mut cols: [Vec<u32>; 4] = Default::default();
+        let mut measures: [Vec<i64>; 3] = Default::default();
+        for _ in 0..config.lineorder_rows() {
+            cols[0].push(key_of(unit_sample_oracle(dist, rng), DATE_ROWS));
+            cols[1].push(key_of(unit_sample_oracle(dist, rng), customers));
+            cols[2].push(key_of(unit_sample_oracle(dist, rng), suppliers));
+            cols[3].push(key_of(unit_sample_oracle(dist, rng), parts));
+            measures[0].push(1 + (unit_sample_oracle(dist, rng) * 49.0) as i64);
+            measures[1].push(1 + (unit_sample_oracle(dist, rng) * 9_999.0) as i64);
+            measures[2].push(1 + (unit_sample_oracle(dist, rng) * 999.0) as i64);
+        }
+        let [orderdate, custkey, suppkey, partkey] = cols;
+        let [quantity, revenue, supplycost] = measures;
+        Table::new(
+            "Lineorder",
+            vec![
+                Column::key("orderdate", orderdate),
+                Column::key("custkey", custkey),
+                Column::key("suppkey", suppkey),
+                Column::key("partkey", partkey),
+                Column::measure("quantity", quantity),
+                Column::measure("revenue", revenue),
+                Column::measure("supplycost", supplycost),
+            ],
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn block_loop_matches_the_per_row_oracle() {
+        let distributions = [
+            FactDistribution::Uniform,
+            FactDistribution::Exponential { rate: 1.0 },
+            FactDistribution::Gamma { shape: 2.0, scale: 0.125 },
+            FactDistribution::Gamma { shape: 0.5, scale: 1.0 },
+            FactDistribution::GaussianMixture(vec![(0.8, 0.2, 0.05), (0.2, 0.8, 0.05)]),
+        ];
+        // 100 rows (under one block), 12 000 rows (a partial last block)
+        // and 6 144 rows (whole blocks only).
+        for scale in [1e-6, 0.002, 0.001_024] {
+            for distribution in distributions.iter().cloned() {
+                let config = SsbConfig { scale, seed: 5, distribution, hot: None };
+                let rng = StarRng::from_seed(config.seed).derive("lineorder");
+                let got = build_lineorder(&config, 50, 25, 70, &mut rng.clone()).unwrap();
+                let want = lineorder_oracle(&config, 50, 25, 70, &mut rng.clone());
+                assert_eq!(got.num_rows(), config.lineorder_rows());
+                assert!(
+                    got.columns() == want.columns(),
+                    "block loop diverged from the per-row oracle: {:?} at SF {scale}",
+                    config.distribution
+                );
+            }
+        }
     }
 
     #[test]
